@@ -1,17 +1,32 @@
 // Write-ahead journal: append/read round trips, segment rotation with
 // sequence continuity, torn-tail tolerance (reader stops, writer truncates
-// and resumes), pruning, and deterministic disk faults.
+// and resumes), pruning, deterministic disk faults, and a checked-in
+// on-disk fixture that pins the byte format across refactors.
+//
+// The fixture pair under tests/persist/fixtures/ (wal_torn/: three segments
+// whose last frame is torn; wal_torn_appended/: the same log after a writer
+// reopened it and appended kFixtureAppended more frames) is committed
+// bytes. Regenerate only for a deliberate format change (kWalVersion bump):
+//   VIRE_REGEN_WAL_FIXTURE=1 ./wal_test --gtest_filter='*Fixture*'
 
 #include "persist/wal.h"
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "fault/disk_fault.h"
 #include "obs/metrics.h"
+
+#ifndef VIRE_FIXTURE_DIR
+#error "VIRE_FIXTURE_DIR must point at tests/persist/fixtures"
+#endif
 
 namespace vire::persist {
 namespace {
@@ -273,6 +288,140 @@ TEST_F(WalTest, AttachMetricsReportsAppendsAndTruncations) {
   ASSERT_NE(corrupt, nullptr);
   EXPECT_EQ(appended->value(), 1u);
   EXPECT_EQ(corrupt->value(), 1u);
+}
+
+// -- on-disk fixture ---------------------------------------------------------
+
+constexpr std::uint64_t kFixtureSegmentFrames = 8;
+constexpr int kFixtureFrames = 20;    ///< written; the last one is torn
+constexpr int kFixtureAppended = 10;  ///< appended after the reopen
+
+fs::path fixture_root() { return fs::path(VIRE_FIXTURE_DIR); }
+fs::path torn_fixture() { return fixture_root() / "wal_torn"; }
+fs::path appended_fixture() { return fixture_root() / "wal_torn_appended"; }
+
+/// Frame `i` (0-based) of the fixture script: every frame type, with values
+/// whose bit patterns are distinct per frame.
+WalFrame fixture_frame(int i) {
+  WalFrame frame;
+  frame.sequence = static_cast<std::uint64_t>(i) + 1;
+  const double t = 3.0 + 0.125 * i;
+  switch (i % 5) {
+    case 0:
+    case 1:
+      frame.type = FrameType::kReading;
+      frame.reading = {t, static_cast<sim::TagId>(500 + i),
+                       static_cast<sim::ReaderId>(i % 4), -40.0 - 0.5 * i};
+      break;
+    case 2:
+      frame.type = FrameType::kEvict;
+      frame.time = t;
+      break;
+    case 3:
+      frame.type = FrameType::kUpdate;
+      frame.time = t;
+      break;
+    default:
+      frame.type = FrameType::kAck;
+      frame.ack_sequence = 1000 + static_cast<std::uint64_t>(i);
+      break;
+  }
+  return frame;
+}
+
+void append_fixture_frame(WalWriter& wal, int i) {
+  const WalFrame frame = fixture_frame(i);
+  switch (frame.type) {
+    case FrameType::kReading: wal.on_accepted(frame.reading); break;
+    case FrameType::kEvict: wal.on_evict(frame.time); break;
+    case FrameType::kUpdate: wal.append_update_marker(frame.time); break;
+    case FrameType::kAck: wal.append_ack_marker(frame.ack_sequence); break;
+  }
+}
+
+WalConfig fixture_config(const fs::path& dir) {
+  WalConfig c;
+  c.dir = dir;
+  c.segment_max_frames = kFixtureSegmentFrames;
+  c.fsync = FsyncPolicy::kOff;
+  return c;
+}
+
+std::map<std::string, std::string> read_dir_bytes(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+/// Writes the fixture pair with the current writer.
+void generate_wal_fixture() {
+  fs::remove_all(torn_fixture());
+  fs::remove_all(appended_fixture());
+  {
+    WalWriter wal(fixture_config(torn_fixture()));
+    for (int i = 0; i < kFixtureFrames; ++i) append_fixture_frame(wal, i);
+  }
+  // Tear the last frame mid-write: the newest segment ends inside it.
+  shrink_by(torn_fixture() / "wal-000000000017.log", 5);
+  fs::copy(torn_fixture(), appended_fixture());
+  WalWriter wal(fixture_config(appended_fixture()));
+  for (int i = 0; i < kFixtureAppended; ++i) {
+    append_fixture_frame(wal, kFixtureFrames - 1 + i);
+  }
+}
+
+void expect_same_frame(const WalFrame& got, const WalFrame& want) {
+  EXPECT_EQ(got.sequence, want.sequence);
+  ASSERT_EQ(got.type, want.type) << "sequence " << want.sequence;
+  switch (want.type) {
+    case FrameType::kReading:
+      EXPECT_EQ(bits(got.reading.time), bits(want.reading.time));
+      EXPECT_EQ(got.reading.tag, want.reading.tag);
+      EXPECT_EQ(got.reading.reader, want.reading.reader);
+      EXPECT_EQ(bits(got.reading.rssi_dbm), bits(want.reading.rssi_dbm));
+      break;
+    case FrameType::kEvict:
+    case FrameType::kUpdate:
+      EXPECT_EQ(bits(got.time), bits(want.time));
+      break;
+    case FrameType::kAck:
+      EXPECT_EQ(got.ack_sequence, want.ack_sequence);
+      break;
+  }
+}
+
+TEST_F(WalTest, CommittedFixtureReadsBackAndReopensByteIdentically) {
+  if (std::getenv("VIRE_REGEN_WAL_FIXTURE") != nullptr) {
+    generate_wal_fixture();
+    GTEST_SKIP() << "regenerated " << torn_fixture();
+  }
+  ASSERT_TRUE(fs::exists(torn_fixture() / "wal-000000000001.log"));
+
+  // Frame for frame: everything before the torn frame, nothing after it.
+  const WalReadResult read = read_wal(torn_fixture());
+  ASSERT_EQ(read.frames.size(), static_cast<std::size_t>(kFixtureFrames - 1));
+  EXPECT_EQ(read.corrupt_frames, 1u);
+  EXPECT_EQ(read.next_sequence, static_cast<std::uint64_t>(kFixtureFrames));
+  for (int i = 0; i < kFixtureFrames - 1; ++i) {
+    expect_same_frame(read.frames[static_cast<std::size_t>(i)], fixture_frame(i));
+  }
+
+  // Reopen a copy (truncating the torn tail) and append: the files must be
+  // exactly the bytes the fixture's writer produced.
+  fs::copy(torn_fixture(), dir_);
+  {
+    WalWriter wal(fixture_config(dir_));
+    EXPECT_EQ(wal.truncated_frames(), 1u);
+    EXPECT_EQ(wal.next_sequence(), static_cast<std::uint64_t>(kFixtureFrames));
+    for (int i = 0; i < kFixtureAppended; ++i) {
+      append_fixture_frame(wal, kFixtureFrames - 1 + i);
+    }
+  }
+  EXPECT_EQ(read_dir_bytes(dir_), read_dir_bytes(appended_fixture()));
 }
 
 }  // namespace
