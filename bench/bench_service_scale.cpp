@@ -1,12 +1,12 @@
 // Performance: sharded-service ingest throughput and query latency vs shard
 // count. One captured simulator stream is replayed through the full service
-// path (router -> shard queues -> worker threads -> engines) at each shard
-// count; readings/s covers ingest+poll, and the p99 latency is measured on
-// latest_fix() queries interleaved with the load.
+// path (router -> shard hosts -> engines, per-shard updates concurrent at
+// poll) at each shard count; readings/s covers ingest+poll, and the p99
+// latency is measured on latest_fix() queries interleaved with the load.
 //
 // Honesty rules (docs/benchmarks.md): hardware_threads is reported raw, and
 // on a single-hardware-thread machine the shard-count scaling curve is
-// REFUSED — every shard worker would time-slice one core, so a "curve"
+// REFUSED — every shard's poll task would time-slice one core, so a "curve"
 // would measure oversubscription, not sharding. Only shards=1 is measured
 // there (that number is still meaningful: it is the service-path overhead
 // over the bare engine).
@@ -113,9 +113,8 @@ int main() {
   report.throughput_unit = "readings_per_sec";
 
   support::CsvWriter csv("bench_out/service_scale.csv");
-  csv.header({"shards", "readings_per_sec", "query_p99_us", "queue_drops"});
-  std::printf("%8s %18s %14s %12s\n", "shards", "readings/sec", "query p99 us",
-              "drops");
+  csv.header({"shards", "readings_per_sec", "query_p99_us"});
+  std::printf("%8s %18s %14s\n", "shards", "readings/sec", "query p99 us");
 
   const auto bench_start = std::chrono::steady_clock::now();
   for (const int shards : shard_counts) {
@@ -151,10 +150,9 @@ int main() {
     const double p99 =
         query_us[static_cast<std::size_t>(0.99 * (query_us.size() - 1))];
 
-    std::printf("%8d %18.0f %14.2f %12llu\n", shards, readings_per_sec, p99,
-                static_cast<unsigned long long>(service.dropped_batches()));
+    std::printf("%8d %18.0f %14.2f\n", shards, readings_per_sec, p99);
     csv.row({std::to_string(shards), std::to_string(readings_per_sec),
-             std::to_string(p99), std::to_string(service.dropped_batches())});
+             std::to_string(p99)});
     report.results.emplace_back("readings_per_sec_shards_" + std::to_string(shards),
                                 readings_per_sec);
     report.results.emplace_back("query_p99_us_shards_" + std::to_string(shards),

@@ -8,8 +8,9 @@
 //   1. golden runs — the paper-testbed scenario, uninterrupted, at
 //      parallel_workers 1 and 4; their fixes must already be bit-identical;
 //   2. crash+recover — a forked child runs the same scenario with the WAL
-//      and periodic checkpoints enabled; the parent watches the WAL and
-//      SIGKILLs the child mid-run, then recovers (checkpoint + WAL replay +
+//      and periodic checkpoints enabled; it stops at a pipe handshake right
+//      after update marker kKillAfterMarkers, where the parent SIGKILLs it,
+//      then recovers (checkpoint + WAL replay +
 //      deterministic catch-up) at a DIFFERENT worker count and diffs every
 //      fix against the golden trace by bit pattern;
 //   3. torn-tail variant — the WAL's last frame is corrupted before
@@ -31,7 +32,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -145,10 +145,11 @@ std::vector<std::vector<engine::Fix>> run_golden(int workers) {
   return polls;
 }
 
-/// Child body: the same scenario with persistence on. Never returns — the
-/// parent SIGKILLs it (a normal exit means the kill raced and the drill
-/// must be retried with a longer run).
-[[noreturn]] void run_child(const std::filesystem::path& dir, int workers) {
+/// Child body: the same scenario with persistence on. Never returns — right
+/// after journaling update marker kKillAfterMarkers it reports on `ready`
+/// and blocks reading `hold` (never written) until the parent's SIGKILL.
+[[noreturn]] void run_child(const std::filesystem::path& dir, int workers,
+                            int ready, int hold) {
   Pipeline p = make_pipeline(workers, nullptr);
 
   persist::WalConfig wal_config;
@@ -171,6 +172,13 @@ std::vector<std::vector<engine::Fix>> run_golden(int workers) {
     p.simulator->middleware().evict_stale(now);
     // Marker BEFORE update: a crash mid-update replays the whole update.
     wal.append_update_marker(now);
+    if (static_cast<std::uint64_t>(poll) + 1 == kKillAfterMarkers) {
+      const char byte = 'k';
+      if (write(ready, &byte, 1) != 1) _exit(3);
+      char sink = 0;
+      (void)read(hold, &sink, 1);  // blocks until SIGKILL
+      _exit(4);
+    }
     p.engine->update(p.simulator->middleware(), now);
     if ((poll + 1) % kCheckpointEveryPolls == 0) {
       persist::Checkpoint ckpt;
@@ -182,54 +190,51 @@ std::vector<std::vector<engine::Fix>> run_golden(int workers) {
       ckpt.counters = persist::sample_counters(p.engine->metrics());
       store.write(ckpt);
     }
-    // Pace the run so the parent's kill reliably lands mid-scenario.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(poll >= 10 ? 200 : 20));
   }
-  _exit(7);  // finished without being killed: drill setup failure
+  _exit(7);  // never reached the kill point: drill setup failure
 }
 
-/// Forks the persistent scenario and SIGKILLs it once the WAL shows
-/// `kKillAfterMarkers` update markers. Returns false if the child exited on
-/// its own (kill raced).
+/// Forks the persistent scenario and SIGKILLs it at update marker
+/// `kKillAfterMarkers` (a pipe handshake, not a timing race). Returns false
+/// if the child exited on its own.
 bool crash_scenario(const std::filesystem::path& dir, int workers) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  int ready[2];
+  int hold[2];
+  if (pipe(ready) != 0 || pipe(hold) != 0) {
+    std::perror("pipe");
+    return false;
+  }
   const pid_t pid = fork();
   if (pid < 0) {
     std::perror("fork");
     return false;
   }
-  if (pid == 0) run_child(dir, workers);  // never returns
-
-  bool killed = false;
-  for (;;) {
-    int status = 0;
-    const pid_t done = waitpid(pid, &status, WNOHANG);
-    if (done == pid) {
-      std::printf("  child exited (status %d) before the kill landed\n",
-                  status);
-      return false;
-    }
-    const persist::WalReadResult wal = persist::read_wal(dir / "wal");
-    std::uint64_t markers = 0;
-    for (const auto& frame : wal.frames) {
-      if (frame.type == persist::FrameType::kUpdate) ++markers;
-    }
-    if (markers >= kKillAfterMarkers) {
-      kill(pid, SIGKILL);
-      killed = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (pid == 0) {
+    close(ready[0]);
+    close(hold[1]);
+    run_child(dir, workers, ready[1], hold[0]);  // never returns
   }
+  close(ready[1]);
+  close(hold[0]);
+
+  char byte = 0;
+  const bool at_kill_point = read(ready[0], &byte, 1) == 1;
+  close(ready[0]);
+  if (at_kill_point) kill(pid, SIGKILL);
   int status = 0;
   waitpid(pid, &status, 0);
+  close(hold[1]);
+  if (!at_kill_point) {
+    std::printf("  child exited (status %d) before the kill point\n", status);
+    return false;
+  }
   if (!(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)) {
     std::printf("  unexpected child status %d\n", status);
     return false;
   }
-  return killed;
+  return true;
 }
 
 /// Recovers from `dir` at `workers` workers and replays + continues the
@@ -350,15 +355,6 @@ std::filesystem::path newest_file(const std::filesystem::path& dir) {
 }  // namespace
 
 int main() {
-  if (std::thread::hardware_concurrency() <= 1) {
-    std::printf(
-        "crash drill: SKIPPED — single hardware thread. The drill relies on\n"
-        "the parent racing the child (watch the WAL, SIGKILL mid-run); with\n"
-        "one core that race cannot be scheduled reliably and the drill\n"
-        "flakes instead of proving anything. See docs/robustness.md,\n"
-        "'Single-core machines'. Exit 0: skipped, not passed.\n");
-    return 0;
-  }
   std::printf("crash drill: %d polls, checkpoint every %d, kill after %llu "
               "update markers\n",
               kPolls, kCheckpointEveryPolls,

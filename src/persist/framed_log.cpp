@@ -76,11 +76,9 @@ std::string encode_record(std::uint8_t type, std::string_view payload) {
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u8(type);
   w.raw(payload);
-  std::string checked;
-  checked.reserve(1 + payload.size());
-  checked.push_back(static_cast<char>(type));
-  checked.append(payload);
-  w.u32(crc32(checked));
+  // The CRC covers the type byte and the payload, which sit contiguously
+  // after the length prefix.
+  w.u32(crc32(std::string_view(w.bytes()).substr(4)));
   return w.take();
 }
 
@@ -89,16 +87,18 @@ struct SegmentScan {
   std::uint64_t records = 0;        ///< valid records
   std::size_t valid_bytes = 0;      ///< header + valid records
   bool corrupt_tail = false;        ///< bytes after the valid prefix
-  std::vector<LogRecord> decoded;   ///< filled only when `keep_records`
+  bool gap = false;                 ///< header start != expected; nothing visited
 };
 
-/// Scans one segment file: validates the header, walks records until the
-/// first CRC/validate failure or EOF. Returns nullopt when the header itself
-/// is unreadable (the whole segment is then treated as corrupt).
-std::optional<SegmentScan> scan_segment(
-    const std::filesystem::path& path, const FramedLogFormat& format,
-    bool keep_records,
-    const std::function<bool(std::uint8_t, std::string_view)>& validate) {
+/// Scans one segment file: validates the header, then walks records until
+/// the first CRC failure, visitor veto or EOF. A segment that does not start
+/// at `expected_start` (0 = any) is reported as a gap before any record is
+/// visited. Returns nullopt when the header itself is unreadable (the whole
+/// segment is then treated as corrupt).
+std::optional<SegmentScan> scan_segment(const std::filesystem::path& path,
+                                        const FramedLogFormat& format,
+                                        std::uint64_t expected_start,
+                                        const RecordVisitor& visit) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buf;
@@ -119,6 +119,10 @@ std::optional<SegmentScan> scan_segment(
   SegmentScan scan;
   scan.start_sequence = *start_sequence;
   scan.valid_bytes = kHeaderSize;
+  if (expected_start != 0 && scan.start_sequence != expected_start) {
+    scan.gap = true;
+    return scan;
+  }
   std::size_t pos = kHeaderSize;
   const std::string_view view(data);
   while (pos < data.size()) {
@@ -139,17 +143,9 @@ std::optional<SegmentScan> scan_segment(
       break;
     }
     const auto type = static_cast<std::uint8_t>(checked[0]);
-    const std::string_view payload = checked.substr(1);
-    if (validate && !validate(type, payload)) {
+    if (visit && !visit(scan.start_sequence + scan.records, type, checked.substr(1))) {
       scan.corrupt_tail = true;
       break;
-    }
-    if (keep_records) {
-      LogRecord record;
-      record.sequence = scan.start_sequence + scan.records;
-      record.type = type;
-      record.payload = std::string(payload);
-      scan.decoded.push_back(std::move(record));
     }
     ++scan.records;
     pos += kRecordOverhead + payload_len;
@@ -160,37 +156,46 @@ std::optional<SegmentScan> scan_segment(
 
 }  // namespace
 
-FramedLogReadResult read_framed_log(
-    const std::filesystem::path& dir, const FramedLogFormat& format,
-    std::uint64_t from_sequence,
-    const std::function<bool(std::uint8_t, std::string_view)>& validate) {
-  FramedLogReadResult result;
-  const auto segments = list_segments(dir, format);
-  bool stopped = false;
-  for (const auto& [start, path] : segments) {
-    if (stopped) break;  // sequence continuity ends at the first bad record
-    auto scan = scan_segment(path, format, /*keep_records=*/true, validate);
+FramedLogScan scan_framed_log(const std::filesystem::path& dir,
+                              const FramedLogFormat& format,
+                              const RecordVisitor& visit) {
+  FramedLogScan result;
+  for (const auto& [start, path] : list_segments(dir, format)) {
+    // Sequence continuity: a gap between segments (rotation lost to a crash
+    // before any record was appended is fine; missing records are not)
+    // ends the log.
+    const auto scan = scan_segment(path, format, result.next_sequence, visit);
     if (!scan) {
       // Unreadable header: the whole segment is one corrupt unit.
       ++result.corrupt_records;
       break;
     }
-    // A gap between segments (rotation lost to a crash before any record was
-    // appended is fine; missing records are not) also ends the log.
-    if (result.next_sequence != 0 && scan->start_sequence != result.next_sequence) {
-      break;
-    }
-    for (LogRecord& record : scan->decoded) {
-      if (record.sequence >= from_sequence) {
-        result.records.push_back(std::move(record));
-      }
-    }
+    if (scan->gap) break;
     result.next_sequence = scan->start_sequence + scan->records;
     if (scan->corrupt_tail) {
       ++result.corrupt_records;
-      stopped = true;
+      break;
     }
   }
+  return result;
+}
+
+FramedLogReadResult read_framed_log(
+    const std::filesystem::path& dir, const FramedLogFormat& format,
+    std::uint64_t from_sequence,
+    const std::function<bool(std::uint8_t, std::string_view)>& validate) {
+  FramedLogReadResult result;
+  const FramedLogScan scan = scan_framed_log(
+      dir, format,
+      [&](std::uint64_t sequence, std::uint8_t type, std::string_view payload) {
+        if (validate && !validate(type, payload)) return false;
+        if (sequence >= from_sequence) {
+          result.records.push_back({sequence, type, std::string(payload)});
+        }
+        return true;
+      });
+  result.corrupt_records = scan.corrupt_records;
+  result.next_sequence = scan.next_sequence;
   return result;
 }
 
@@ -216,8 +221,12 @@ FramedLog::FramedLog(FramedLogConfig config) : config_(std::move(config)) {
       std::filesystem::remove(path);
       continue;
     }
-    const auto scan = scan_segment(path, config_.format, /*keep_records=*/false,
-                                   config_.validate);
+    const auto scan = scan_segment(
+        path, config_.format,
+        resume_path.empty() ? 0 : resume_start + resume_records,
+        [this](std::uint64_t, std::uint8_t type, std::string_view payload) {
+          return !config_.validate || config_.validate(type, payload);
+        });
     if (!scan) {
       // Unreadable header: drop this and every later segment.
       ++truncated_;
@@ -225,8 +234,7 @@ FramedLog::FramedLog(FramedLogConfig config) : config_(std::move(config)) {
       broken = true;
       continue;
     }
-    if (!resume_path.empty() &&
-        scan->start_sequence != resume_start + resume_records) {
+    if (scan->gap) {
       // Sequence gap: records are missing, the log ends at the previous segment.
       std::filesystem::remove(path);
       broken = true;
@@ -293,8 +301,9 @@ void FramedLog::close_segment() noexcept {
   }
 }
 
-void FramedLog::physical_write(const std::string& bytes) {
-  std::string buffer = bytes;
+void FramedLog::physical_write(std::string_view bytes) {
+  std::string_view buffer = bytes;
+  std::string corrupted;  // only a kCorruptByte fault copies the bytes
   std::size_t write_len = buffer.size();
   bool fail_after_write = false;
   if (config_.fault_hook != nullptr) {
@@ -310,7 +319,11 @@ void FramedLog::physical_write(const std::string& bytes) {
         case support::IoFaultKind::kCorruptByte:
           // Silent media corruption: the append "succeeds"; only the CRC at
           // read time reveals it.
-          if (!buffer.empty()) buffer[fault->offset % buffer.size()] ^= 0x40;
+          if (!buffer.empty()) {
+            corrupted.assign(buffer);
+            corrupted[fault->offset % corrupted.size()] ^= 0x40;
+            buffer = corrupted;
+          }
           break;
       }
     }

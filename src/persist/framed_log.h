@@ -1,9 +1,8 @@
 #pragma once
-// Generic segmented CRC-framed append-only log — the WAL's on-disk discipline
-// (docs/robustness.md, "Crash recovery") factored out for other journals.
-// The supervisor's durable control journal (src/service/control_journal.h)
-// is the first client; the reading WAL keeps its own writer because its
-// "VWAL" byte format predates this class and must stay stable.
+// Generic segmented CRC-framed append-only log (docs/robustness.md, "Crash
+// recovery"). Two typed journals sit on top of it: the reading WAL
+// (persist/wal.h, "VWAL" segments) and the supervisor's durable control
+// journal (src/service/control_journal.h, "VCJL" segments).
 //
 // On-disk format (all integers little-endian):
 //   segment file <prefix>-<start_sequence>.log:
@@ -27,10 +26,15 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "persist/wal.h"  // FsyncPolicy
 #include "support/atomic_file.h"
 
 namespace vire::persist {
+
+enum class FsyncPolicy {
+  kOff,      ///< never fsync (benches; data loss bounded only by the OS)
+  kEveryN,   ///< fsync after every N appended records
+  kInterval, ///< fsync when more than `fsync_interval_s` passed since the last
+};
 
 /// Identity of one log family: header magic, format version, file prefix.
 /// Two logs with different formats never read each other's segments.
@@ -71,9 +75,28 @@ struct FramedLogReadResult {
   std::uint64_t next_sequence = 0;
 };
 
-/// Reads every valid record with sequence >= `from_sequence` from the
-/// segments under `dir` that match `format`. Stops at the first corrupt
-/// record (counting it); a missing directory reads as an empty log.
+/// Called once per CRC-valid record, in sequence order. Returning false
+/// marks the record corrupt: the scan ends there exactly as at a torn tail.
+using RecordVisitor = std::function<bool(std::uint64_t sequence, std::uint8_t type,
+                                         std::string_view payload)>;
+
+struct FramedLogScan {
+  /// Records dropped at the first CRC/visitor failure (torn tail).
+  std::uint64_t corrupt_records = 0;
+  /// Sequence the next appended record would get (0 for an empty log).
+  std::uint64_t next_sequence = 0;
+};
+
+/// Walks every valid record of the segments under `dir` that match
+/// `format`, handing each to `visit` without copying its payload. Stops at
+/// the first corrupt record (counting it); a missing directory reads as an
+/// empty log.
+FramedLogScan scan_framed_log(const std::filesystem::path& dir,
+                              const FramedLogFormat& format,
+                              const RecordVisitor& visit);
+
+/// Reads every valid record with sequence >= `from_sequence` (scan_framed_log
+/// collecting copies; `validate` acts like a visitor's veto).
 [[nodiscard]] FramedLogReadResult read_framed_log(
     const std::filesystem::path& dir, const FramedLogFormat& format,
     std::uint64_t from_sequence = 0,
@@ -121,7 +144,7 @@ class FramedLog {
  private:
   void open_segment(std::uint64_t start_sequence);
   void close_segment() noexcept;
-  void physical_write(const std::string& bytes);
+  void physical_write(std::string_view bytes);
   void maybe_fsync();
 
   FramedLogConfig config_;

@@ -21,6 +21,9 @@
 //     kUpdate:  f64 now
 //     kAck:     u64 ingest-batch sequence
 //
+// That is persist::FramedLog's format with magic "VWAL", version
+// kWalVersion and file prefix "wal"; this file adds the typed payloads.
+//
 // A crash can tear at most the tail of the newest segment. Both the reader
 // and the writer treat the first CRC/decode failure as end-of-log: the
 // reader stops there (counting the bad frame), the writer truncates the
@@ -34,6 +37,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "persist/framed_log.h"
 #include "sim/types.h"
 #include "support/atomic_file.h"
 
@@ -57,12 +61,6 @@ struct WalFrame {
   sim::RssiReading reading;         ///< valid for kReading
   sim::SimTime time = 0.0;          ///< valid for kEvict / kUpdate
   std::uint64_t ack_sequence = 0;   ///< valid for kAck
-};
-
-enum class FsyncPolicy {
-  kOff,      ///< never fsync (benches; data loss bounded only by the OS)
-  kEveryN,   ///< fsync after every N appended frames
-  kInterval, ///< fsync when more than `fsync_interval_s` passed since the last
 };
 
 struct WalConfig {
@@ -117,46 +115,42 @@ class WalWriter final : public sim::ReadingJournal {
   void append_ack_marker(std::uint64_t ack_sequence);
 
   /// Force an fsync of the current segment now, regardless of policy.
-  void sync();
+  void sync() { log_.sync(); }
 
   /// Sequence the next frame will get.
-  [[nodiscard]] std::uint64_t next_sequence() const noexcept { return sequence_; }
+  [[nodiscard]] std::uint64_t next_sequence() const noexcept {
+    return log_.next_sequence();
+  }
   /// Frames appended by this writer instance.
-  [[nodiscard]] std::uint64_t appended_count() const noexcept { return appended_; }
+  [[nodiscard]] std::uint64_t appended_count() const noexcept {
+    return log_.appended_count();
+  }
   /// Torn frames dropped from the tail when this writer (re)opened the log.
   [[nodiscard]] std::uint64_t truncated_frames() const noexcept {
-    return truncated_;
+    return log_.truncated_records();
   }
 
   /// Deletes segments whose every frame has sequence < `up_to_sequence`
   /// (safe after a checkpoint at that sequence). Returns segments removed.
-  std::size_t prune(std::uint64_t up_to_sequence);
+  std::size_t prune(std::uint64_t up_to_sequence) {
+    return log_.prune(up_to_sequence);
+  }
 
   /// Registers vire_persist_wal_{appended,corrupt}_total. Pure side channel.
   void attach_metrics(obs::MetricsRegistry& registry);
   /// Emits persist.wal_fsync spans. Pass nullptr to detach.
-  void attach_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
+  void attach_tracer(obs::Tracer* tracer) {
+    log_.attach_tracer(tracer, "persist.wal_fsync");
+  }
 
   [[nodiscard]] const WalConfig& config() const noexcept { return config_; }
 
  private:
-  void open_segment(std::uint64_t start_sequence);
-  void close_segment() noexcept;
-  void append_frame(FrameType type, const std::string& payload);
-  void physical_write(const std::string& bytes);
-  void maybe_fsync();
+  void append(FrameType type, std::string_view payload);
 
   WalConfig config_;
-  int fd_ = -1;
-  std::uint64_t sequence_ = 0;          ///< next frame's global sequence
-  std::uint64_t segment_frames_ = 0;    ///< frames in the open segment
-  std::uint64_t appended_ = 0;
-  std::uint64_t truncated_ = 0;
-  std::uint64_t unsynced_ = 0;          ///< frames since the last fsync
-  double last_sync_monotonic_s_ = 0.0;  ///< for FsyncPolicy::kInterval
+  FramedLog log_;
   obs::Counter* appended_metric_ = nullptr;
-  obs::Counter* corrupt_metric_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace vire::persist

@@ -1,13 +1,14 @@
 #pragma once
 // Frontend: the request-handling surface the wire server drives
-// (docs/service.md). Two implementations exist — ShardedService (shards as
-// threads inside this process) and Supervisor (shards as child processes) —
-// and ServiceServer speaks to either one, so vire_shardd and vire_supervisord
-// share a single server/event-loop implementation.
+// (docs/service.md). Three implementations exist — ShardHost (one shard;
+// what vire_shardd serves), ShardedService (several hosts in one process)
+// and Supervisor (shards as child processes, what vire_supervisord serves)
+// — and ServiceServer speaks to any of them, so the daemons share a single
+// server/event-loop implementation.
 //
-// Threading: like ShardedService, every mutating call comes from ONE driver
-// thread (the server's event loop); snapshot_* must additionally be safe
-// from any thread (metrics registries are internally synchronized).
+// Threading: every mutating call comes from ONE calling thread (the
+// server's event loop); snapshot_* must additionally be safe from any
+// thread (metrics registries are internally synchronized).
 
 #include <cstddef>
 #include <cstdint>
@@ -104,10 +105,11 @@ class Frontend {
   virtual std::optional<std::string> provenance_json() { return std::nullopt; }
 
   // -- elastic membership (wire v4) --------------------------------------
-  // Implemented by ShardedService (per-shard state moves) and by Supervisor
-  // (admin_* drive the cross-process add/remove state machine). Defaults
-  // throw; the server surfaces that as kError, so frontends that cannot
-  // migrate state refuse cleanly instead of silently dropping tags.
+  // ShardHost implements the per-shard state moves (export/import/seed) the
+  // supervisor drives across processes; Supervisor implements admin_*
+  // (the cross-process add/remove state machine). Defaults throw; the
+  // server surfaces that as kError, so frontends that cannot migrate state
+  // refuse cleanly instead of silently dropping tags.
 
   /// kExportTag: atomically export and untrack one tag's engine state.
   /// Inner nullopt: the tag held no state (never updated) — still untracked.

@@ -10,9 +10,9 @@
 // is running, do not call the frontend's mutating API from elsewhere
 // (snapshot exports stay safe from any thread).
 //
-// The same server fronts either Frontend implementation: ShardedService in
-// a monolithic process, one-engine shards in vire_shardd, and the
-// Supervisor in vire_supervisord.
+// The same server fronts every Frontend implementation: a ShardHost in
+// vire_shardd, the Supervisor in vire_supervisord, and an in-process
+// ShardedService in tests and demos.
 //
 // Robustness: each connection owns a FrameDecoder registered with the
 // frontend's metrics registry, so every rejected frame lands in
@@ -31,6 +31,7 @@
 // crash the server or desync other connections
 // (tests/service/service_server_test.cpp).
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -104,7 +105,8 @@ class ServiceServer {
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  ///< self-pipe to interrupt poll() on stop
   std::thread loop_thread_;
-  bool running_ = false;
+  /// Written by start()/stop(), read by the loop thread.
+  std::atomic<bool> running_{false};
   std::uint64_t accepted_ = 0;
 };
 

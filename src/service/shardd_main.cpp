@@ -1,8 +1,9 @@
 // vire_shardd: one shard process of the multi-process deployment
 // (docs/service.md, "Multi-process deployment").
 //
-// A thin main over ShardedService with a single engine: serves the wire
-// protocol on --socket, journals to --data-dir/{wal,checkpoints}. Always
+// Serves one ShardHost over the wire protocol on --socket; the host
+// journals to --data-dir/shard-0/{wal,checkpoints} and runs on the server's
+// event-loop thread (engine workers aside, no other thread). Always
 // constructed in recover mode — the supervisor re-registers reference ids
 // and tracked tags first, then sends kRecover to replay the WAL through the
 // normal pipeline (registration is not journaled). Runs until SIGTERM or
@@ -27,7 +28,7 @@
 
 #include "env/deployment.h"
 #include "service/server.h"
-#include "service/sharded_service.h"
+#include "service/shard_host.h"
 
 namespace {
 
@@ -124,7 +125,6 @@ int main(int argc, char** argv) {
 
   const env::Deployment deployment = env::Deployment::paper_testbed();
   service::ServiceConfig config;
-  config.shards = 1;
   config.engine.parallel_workers = workers;
   config.middleware.window_s = window_s;
   config.data_dir = data_dir;
@@ -141,12 +141,12 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(trace_capacity);
   }
   config.obs_clock_skew_us = clock_skew_us;
-  service::ShardedService service(deployment, config);
+  service::ShardHost host(deployment, config, service::kProcessHostId);
 
   service::ServerConfig server_config;
   server_config.socket_path = socket_path;
   server_config.server_name = "vire-shardd-" + std::to_string(shard_id);
-  service::ServiceServer server(service, server_config);
+  service::ServiceServer server(host, server_config);
   server.start();
   std::fprintf(stderr, "vire_shardd: shard %d serving %s (data %s)\n",
                shard_id, socket_path.c_str(), data_dir.c_str());

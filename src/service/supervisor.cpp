@@ -14,7 +14,7 @@
 #include <utility>
 
 #include "obs/exporters.h"
-#include "persist/wal.h"
+#include "service/shard_host.h"
 #include "support/rng.h"
 
 namespace vire::service {
@@ -1473,19 +1473,11 @@ void Supervisor::migrate_tag_cross(sim::TagId tag, std::uint32_t from_id,
 
 std::vector<sim::RssiReading> Supervisor::migration_readings_cross(
     const ManagedShard& source, sim::TagId tag) const {
-  // The tag's journaled suffix still inside the middleware window — the same
-  // strict half-open filter ShardedService::migration_readings uses, so the
-  // re-fed set is exactly the source's buffer. shardd hosts a single-shard
-  // ShardedService, so its WAL lives under <data_dir>/shard-0/wal.
+  // The tag's journaled suffix still inside the middleware window — exactly
+  // the source's buffer, as in ShardedService's in-process migration.
   const double horizon = last_poll_time_ - config_.middleware_window_s;
-  std::vector<sim::RssiReading> readings;
-  const auto wal = persist::read_wal(source.data_dir / "shard-0" / "wal");
-  for (const auto& frame : wal.frames) {
-    if (frame.type != persist::FrameType::kReading) continue;
-    if (frame.reading.tag != tag) continue;
-    if (frame.reading.time <= horizon) continue;
-    readings.push_back(frame.reading);
-  }
+  std::vector<sim::RssiReading> readings = wal_window_readings(
+      ShardHost::wal_dir(source.data_dir, kProcessHostId), tag, horizon);
   // Un-acked batches never reached the source's WAL; their readings live
   // only in our op-log. Append them after the WAL suffix (they are newer
   // than every acked reading by construction).

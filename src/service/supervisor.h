@@ -3,7 +3,7 @@
 // localization service (docs/service.md, "Multi-process deployment").
 //
 // The supervisor owns the ShardRouter and spawns one shard *process* per
-// shard (vire_shardd — a thin main over a single-engine ShardedService),
+// shard (vire_shardd — a thin main serving one ShardHost),
 // each serving the wire protocol on its own Unix socket and journaling to
 // its own WAL/checkpoint directory. The supervisor itself implements
 // Frontend, so vire_supervisord fronts the whole fleet through the same

@@ -307,7 +307,7 @@ struct ImportTagRequest {
 
 /// kSeedState / kSeedImport: persist engine-state codec | persist middleware
 /// codec — the reference-only seed a joining shard restores before it takes
-/// ownership of any tag (see ShardedService::seed_export).
+/// ownership of any tag (see ShardHost::seed_export).
 struct SeedState {
   engine::EngineStateSnapshot engine;
   sim::Middleware::Snapshot middleware;

@@ -6,16 +6,19 @@
 //
 // fork() safety: the child is forked before the parent constructs ANY
 // engine, so no thread pool (or any other thread) exists at fork time.
+//
+// Timing is a handshake, not a race: right after journaling update marker
+// kKillAfterMarkers the child reports on a pipe and blocks reading another;
+// the parent kills it there. The marker count is deliberately not a
+// checkpoint boundary, so recovery must replay a WAL suffix.
 
 #include <sys/types.h>
 #include <sys/wait.h>
 
-#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -39,7 +42,9 @@ constexpr double kWarmupS = 40.0;
 constexpr double kPollS = 5.0;
 constexpr int kPolls = 12;
 constexpr int kCheckpointEveryPolls = 4;
-constexpr std::uint64_t kKillAfterMarkers = 8;
+constexpr int kKillAfterMarkers = 6;
+static_assert(kKillAfterMarkers % kCheckpointEveryPolls != 0,
+              "the kill must leave a WAL suffix past the last checkpoint");
 
 std::uint64_t bits(double v) {
   std::uint64_t u = 0;
@@ -79,7 +84,14 @@ Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
   return p;
 }
 
-[[noreturn]] void run_child(const fs::path& dir) {
+/// Child end of the handshake: `ready` is written once the kill point is
+/// reached, `hold` is never written (EOF when the parent dies).
+struct ChildPipes {
+  int ready = -1;
+  int hold = -1;
+};
+
+[[noreturn]] void run_child(const fs::path& dir, ChildPipes pipes) {
   Pipeline p = make_pipeline(/*workers=*/1, nullptr);
 
   WalConfig wal_config;
@@ -99,6 +111,13 @@ Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
     const sim::SimTime now = p.simulator->now();
     p.simulator->middleware().evict_stale(now);
     wal.append_update_marker(now);
+    if (poll + 1 == kKillAfterMarkers) {
+      const char byte = 'k';
+      if (write(pipes.ready, &byte, 1) != 1) _exit(3);
+      char sink = 0;
+      (void)read(pipes.hold, &sink, 1);  // blocks until SIGKILL
+      _exit(4);
+    }
     p.engine->update(p.simulator->middleware(), now);
     if ((poll + 1) % kCheckpointEveryPolls == 0) {
       Checkpoint ckpt;
@@ -110,54 +129,41 @@ Pipeline make_pipeline(int workers, sim::ReadingInterceptor* interceptor) {
       ckpt.counters = sample_counters(p.engine->metrics());
       store.write(ckpt);
     }
-    // Slow down so the parent's SIGKILL reliably lands mid-run.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(poll >= 6 ? 150 : 20));
   }
-  _exit(7);  // finished un-killed: the parent reports the race as a failure
+  _exit(7);  // never reached the kill point
 }
 
 TEST(CrashDrillTest, SigkilledRunRecoversBitIdentically) {
-  if (std::thread::hardware_concurrency() <= 1) {
-    GTEST_SKIP() << "single hardware thread: the watcher/child kill race "
-                    "cannot be scheduled reliably (the child may finish all "
-                    "polls before the parent observes enough WAL markers); "
-                    "see docs/robustness.md, 'Single-core machines'";
-  }
   const fs::path dir =
       fs::temp_directory_path() / "vire_crash_drill_test";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
+  int ready[2];
+  int hold[2];
+  ASSERT_EQ(pipe(ready), 0);
+  ASSERT_EQ(pipe(hold), 0);
   // Fork FIRST: no engine (= no thread pool) exists in this process yet.
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
-  if (pid == 0) run_child(dir);  // never returns
-
-  bool killed = false;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (std::chrono::steady_clock::now() < deadline) {
-    int status = 0;
-    if (waitpid(pid, &status, WNOHANG) == pid) {
-      FAIL() << "child exited (status " << status << ") before the kill";
-    }
-    const WalReadResult wal = read_wal(dir / "wal");
-    std::uint64_t markers = 0;
-    for (const auto& frame : wal.frames) {
-      if (frame.type == FrameType::kUpdate) ++markers;
-    }
-    if (markers >= kKillAfterMarkers) {
-      kill(pid, SIGKILL);
-      killed = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (pid == 0) {
+    close(ready[0]);
+    close(hold[1]);
+    run_child(dir, {ready[1], hold[0]});  // never returns
   }
-  ASSERT_TRUE(killed) << "child never reached " << kKillAfterMarkers
-                      << " update markers";
+  close(ready[1]);
+  close(hold[0]);
+
+  // Blocks until the child sits at the kill point (or EOF if it died first).
+  char byte = 0;
+  const ssize_t got = read(ready[0], &byte, 1);
+  close(ready[0]);
+  if (got == 1) kill(pid, SIGKILL);
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  close(hold[1]);
+  ASSERT_EQ(got, 1) << "child exited (status " << status
+                    << ") before update marker " << kKillAfterMarkers;
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
   // Golden: the same scenario, uninterrupted, in this process.

@@ -14,19 +14,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/localization_engine.h"
 #include "env/environment.h"
-#include "persist/wal.h"
 #include "service/sharded_service.h"
 #include "sim/simulator.h"
 
@@ -105,7 +103,7 @@ const Capture& shared_capture() {
   return capture;
 }
 
-ServiceConfig service_config(const Capture& capture, int shards, int workers,
+ServiceConfig service_config(const Capture& /*capture*/, int shards, int workers,
                              fs::path data_dir = {}) {
   ServiceConfig config;
   config.shards = shards;
@@ -161,7 +159,6 @@ TEST(ShardEquivalenceTest, MatrixMatchesSingleEngineBitIdentically) {
         const auto fixes = service->poll(capture.poll_times[poll]);
         expect_poll_identical(fixes, capture.golden[poll], poll);
       }
-      EXPECT_EQ(service->dropped_batches(), 0u) << "kBlock must be lossless";
     }
   }
 }
@@ -333,62 +330,55 @@ TEST(ShardEquivalenceTest, ZonePinsStickThroughRebalance) {
 }
 
 // Whole-process crash: fork a child that drives a persistent 2-shard
-// service, SIGKILL it mid-run (progress watched via its shards' WALs),
-// then recover in the parent at a different worker count and demand
-// bit-identity for every poll — replayed and live alike.
+// service and SIGKILL it at a handshake point, then recover in the parent
+// at a different worker count and demand bit-identity for every poll —
+// replayed and live alike. The child reports on a pipe right after poll
+// kKillAfterPolls (not a checkpoint boundary, so every shard must replay a
+// WAL suffix) and blocks reading another pipe until the kill.
 TEST(ShardEquivalenceTest, SigkilledServiceRecoversBitIdentically) {
-  if (std::thread::hardware_concurrency() <= 1) {
-    GTEST_SKIP() << "single hardware thread: the kill-race child starves and "
-                    "the timing window cannot be hit reliably (docs/robustness.md)";
-  }
   const fs::path dir = fs::temp_directory_path() / "vire_shard_sigkill";
   fs::remove_all(dir);
   fs::create_directories(dir);
   constexpr int kShards = 2;
-  constexpr std::uint64_t kKillAfterMarkers = 2 * 6;  // both shards past poll 5
+  constexpr int kKillAfterPolls = 5;
+  static_assert(kKillAfterPolls % 2 != 0, "checkpoint_every_updates is 2");
 
+  int ready[2];
+  int hold[2];
+  ASSERT_EQ(pipe(ready), 0);
+  ASSERT_EQ(pipe(hold), 0);
   // Fork FIRST: no engine/service threads exist in this process yet.
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
+    close(ready[0]);
+    close(hold[1]);
     const Capture capture = capture_scenario();
     auto service = make_service(capture, service_config(capture, kShards, 1, dir));
     service->ingest(capture.segments[0]);
-    for (int poll = 0; poll < kPolls; ++poll) {
+    for (int poll = 0; poll < kKillAfterPolls; ++poll) {
       service->ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
       (void)service->poll(capture.poll_times[poll]);
-      // Slow down so the parent's SIGKILL reliably lands mid-run.
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll >= 4 ? 150 : 20));
     }
-    _exit(7);  // finished un-killed: the parent reports the race as a failure
+    const char byte = 'k';
+    if (write(ready[1], &byte, 1) != 1) _exit(3);
+    char sink = 0;
+    (void)read(hold[0], &sink, 1);  // blocks until SIGKILL
+    _exit(4);
   }
+  close(ready[1]);
+  close(hold[0]);
 
-  bool killed = false;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(90);
-  while (std::chrono::steady_clock::now() < deadline) {
-    int status = 0;
-    if (waitpid(pid, &status, WNOHANG) == pid) {
-      FAIL() << "child exited (status " << status << ") before the kill";
-    }
-    std::uint64_t markers = 0;
-    for (int shard = 0; shard < kShards; ++shard) {
-      const auto wal = persist::read_wal(dir / ("shard-" + std::to_string(shard)) /
-                                         "wal");
-      for (const auto& frame : wal.frames) {
-        if (frame.type == persist::FrameType::kUpdate) ++markers;
-      }
-    }
-    if (markers >= kKillAfterMarkers) {
-      kill(pid, SIGKILL);
-      killed = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_TRUE(killed) << "child never reached " << kKillAfterMarkers
-                      << " update markers";
+  // Blocks until the child sits at the kill point (or EOF if it died first).
+  char byte = 0;
+  const ssize_t got = read(ready[0], &byte, 1);
+  close(ready[0]);
+  if (got == 1) kill(pid, SIGKILL);
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  close(hold[1]);
+  ASSERT_EQ(got, 1) << "child exited (status " << status
+                    << ") before poll " << kKillAfterPolls;
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
   const Capture& capture = shared_capture();
@@ -397,13 +387,14 @@ TEST(ShardEquivalenceTest, SigkilledServiceRecoversBitIdentically) {
   auto service = make_service(capture, config);
   const auto report = service->recover();
   ASSERT_EQ(report.shards.size(), static_cast<std::size_t>(kShards));
-  // The kill lands mid-run, so shards may have skewed progress; everything
-  // after the furthest-ahead shard's resume time must replay/continue to
-  // bit-identity. Earlier polls are only comparable when every shard can
-  // still answer them (checkpoint-truncated history comes back incomplete).
+  // Everything after the furthest-ahead shard's resume time must
+  // replay/continue to bit-identity. Earlier polls are only comparable when
+  // every shard can still answer them (checkpoint-truncated history comes
+  // back incomplete).
   sim::SimTime max_resume = 0.0;
   for (const auto& shard : report.shards) {
     max_resume = std::max(max_resume, shard.resume_time);
+    EXPECT_GE(shard.report.updates_replayed, 1u) << "shard " << shard.shard;
   }
   ASSERT_LT(max_resume, capture.poll_times.back()) << "kill landed too late";
 
