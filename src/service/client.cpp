@@ -144,9 +144,7 @@ Frame ServiceClient::read_frame() {
   }
 }
 
-Frame ServiceClient::request(MsgType type, std::string_view payload,
-                             MsgType expected, const char* what) {
-  send_all(encode_frame(type, payload));
+Frame ServiceClient::read_reply(MsgType expected, const char* what) {
   Frame reply = read_frame();
   if (reply.type == MsgType::kError) {
     throw std::runtime_error("ServiceClient: " + reply.payload);
@@ -156,6 +154,12 @@ Frame ServiceClient::request(MsgType type, std::string_view payload,
                              " response");
   }
   return reply;
+}
+
+Frame ServiceClient::request(MsgType type, std::string_view payload,
+                             MsgType expected, const char* what) {
+  send_all(encode_frame(type, payload));
+  return read_reply(expected, what);
 }
 
 void ServiceClient::stream(const std::vector<sim::RssiReading>& readings) {
@@ -181,8 +185,16 @@ std::vector<engine::Fix> ServiceClient::poll(sim::SimTime now) {
 
 std::vector<engine::Fix> ServiceClient::poll(sim::SimTime now,
                                              const obs::TraceContext& ctx) {
-  const Frame reply = request(MsgType::kPoll, encode_poll({now, ctx}),
-                              MsgType::kFixBatch, "poll");
+  send_poll(now, ctx);
+  return read_poll();
+}
+
+void ServiceClient::send_poll(sim::SimTime now, const obs::TraceContext& ctx) {
+  send_all(encode_frame(MsgType::kPoll, encode_poll({now, ctx})));
+}
+
+std::vector<engine::Fix> ServiceClient::read_poll() {
+  const Frame reply = read_reply(MsgType::kFixBatch, "poll");
   auto fixes = decode_fixes(reply.payload);
   if (!fixes.has_value()) {
     throw std::runtime_error("ServiceClient: bad poll response");

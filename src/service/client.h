@@ -95,6 +95,13 @@ class ServiceClient {
   /// = the server's error text).
   std::vector<engine::Fix> poll(sim::SimTime now);
   std::vector<engine::Fix> poll(sim::SimTime now, const obs::TraceContext& ctx);
+  /// poll() split in its two halves, so a caller can put a kPoll on several
+  /// connections before it waits for any of them. send_poll() writes the
+  /// frame and returns; read_poll() blocks for the reply and fails like
+  /// poll(). Every send_poll() must be matched by one read_poll() before
+  /// the connection carries any other request.
+  void send_poll(sim::SimTime now, const obs::TraceContext& ctx);
+  std::vector<engine::Fix> read_poll();
   std::optional<engine::Fix> latest_fix(sim::TagId tag);
   /// Flight-recorder JSON for the tag, or nullopt when the server has none.
   std::optional<std::string> explain(sim::TagId tag);
@@ -143,7 +150,9 @@ class ServiceClient {
   /// Blocks until one complete frame arrives or the deadline expires.
   Frame read_frame();
   std::string snapshot(std::uint8_t format);
-  /// One round trip expecting `expected` (kError → runtime_error).
+  /// Reads one reply expecting `expected` (kError → runtime_error).
+  Frame read_reply(MsgType expected, const char* what);
+  /// One round trip: the request frame, then read_reply().
   Frame request(MsgType type, std::string_view payload, MsgType expected,
                 const char* what);
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -59,6 +60,15 @@ constexpr DeathCause kAllCauses[] = {DeathCause::kHeartbeatTimeout,
 
 std::string shard_json(std::uint32_t id) {
   return "{\"shard\":" + std::to_string(id) + "}";
+}
+
+/// E2E matching: a fix materialized by a poll covers every batch still in
+/// flight for its shard, so its ingest-to-fix latency is measured from the
+/// OLDEST pending stamp (worst case). A poll with nothing in flight (no
+/// ingest since the last poll) degenerates to the poll duration.
+double oldest_pending_us(const std::map<std::uint64_t, double>& pending,
+                         double poll_start_us) {
+  return pending.empty() ? poll_start_us : pending.begin()->second;
 }
 
 }  // namespace
@@ -406,68 +416,150 @@ std::vector<engine::Fix> Supervisor::poll(sim::SimTime now) {
   // with tracing on or off.
   const obs::TraceContext poll_ctx{trace_id_for(~poll_no), poll_no};
   if (now > last_poll_time_) last_poll_time_ = now;  // migration horizon
-  std::vector<engine::Fix> merged;
+
+  enum class Stage : std::uint8_t { kUnreachable, kSent, kRetry, kDone };
+  struct ShardPoll {
+    ManagedShard* shard = nullptr;
+    Stage stage = Stage::kUnreachable;
+    double sent_us = 0.0;
+  };
+  std::vector<ShardPoll> polls;
+  // Send phase: every reachable shard gets its kPoll before any reply is
+  // read, so the shards' engine updates overlap and the poll costs about the
+  // slowest one, not their sum.
   for (auto& [id, shard] : shards_) {
     if (shard.phase != MemberPhase::kActive) continue;  // owns no tags
-    auto fixes = with_shard(
-        shard, [now, &poll_ctx](ServiceClient& c) { return c.poll(now, poll_ctx); });
-    const double shard_end_us = tracer_.now_us();
-    // E2E matching: a fix materialized by this poll covers every batch still
-    // in flight for its shard, so its ingest-to-fix latency is measured from
-    // the OLDEST pending stamp (worst case). A poll with nothing in flight
-    // (no ingest since the last poll) degenerates to the poll duration.
-    const double oldest_stamp_us = shard.pending_batches.empty()
-                                       ? poll_start_us
-                                       : shard.pending_batches.begin()->second;
-    if (fixes.has_value()) {
-      for (const engine::Fix& fix : *fixes) {
-        latest_[fix.tag] = fix;
-        observe_ingest_to_fix((shard_end_us - oldest_stamp_us) / 1e6);
-      }
-      merged.insert(merged.end(), fixes->begin(), fixes->end());
-      if (tracer_.enabled()) {
-        for (const auto& [sequence, stamp_us] : shard.pending_batches) {
-          tracer_.complete(
-              "supervisor.batch_e2e", stamp_us, shard_end_us,
-              "{\"shard\":" + std::to_string(id) +
-                  ",\"sequence\":" + std::to_string(sequence) +
-                  ",\"trace_id\":" + std::to_string(trace_id_for(sequence)) +
-                  "}");
-        }
-      }
-      shard.pending_batches.clear();
-      continue;
-    }
-    // Shard unreachable (breaker open / revival failed): journal the missed
-    // poll so revival replays it, and answer its tags from last-known fixes.
-    OpEntry entry;
-    entry.kind = OpEntry::Kind::kPoll;
-    entry.time = now;
-    if (journal_ != nullptr) entry.journal_seq = journal_->record_poll(id, now);
-    push_oplog(shard, std::move(entry));
-    for (const auto& [tag, info] : tags_) {
-      if (owner_of(tag) != id) continue;
-      const auto it = latest_.find(tag);
-      if (it == latest_.end()) continue;  // never fixed: nothing to hold
-      engine::Fix held = it->second;
-      held.age_s += now - held.time;
-      held.time = now;
-      held.valid = false;
-      held.quality = engine::FixQuality::kHold;
-      latest_[tag] = held;
-      merged.push_back(held);
-      held_fixes_->inc();
-      // Held fixes are polled fixes too: the SLO histogram must record the
-      // (still-growing) latency of batches stranded behind the dead shard.
-      observe_ingest_to_fix((shard_end_us - oldest_stamp_us) / 1e6);
+    ShardPoll& p = polls.emplace_back();
+    p.shard = &shard;
+    if (!try_revive(shard)) continue;
+    p.sent_us = tracer_.now_us();
+    try {
+      shard.client->send_poll(now, poll_ctx);
+      p.stage = Stage::kSent;
+    } catch (const TransportError&) {
+      handle_death(shard, DeathCause::kSocket);
+      p.stage = Stage::kRetry;
     }
   }
+
+  std::vector<engine::Fix> merged;
+  // The first kError answer. It is rethrown only after every other reply has
+  // been read: a connection left holding an unread reply would hand it to
+  // that shard's next request.
+  std::exception_ptr refusal;
+  // Receive phase, id order. Each reply is merged as soon as it is read, so
+  // its ingest-to-fix latency ends when that shard answered.
+  for (ShardPoll& p : polls) {
+    if (p.stage != Stage::kSent) continue;
+    std::vector<engine::Fix> fixes;
+    try {
+      fixes = p.shard->client->read_poll();
+    } catch (const TransportError&) {
+      handle_death(*p.shard, DeathCause::kSocket);
+      p.stage = Stage::kRetry;
+      continue;
+    } catch (const std::exception&) {
+      if (!refusal) refusal = std::current_exception();
+      p.stage = Stage::kDone;
+      continue;
+    }
+    merge_shard_poll(*p.shard, std::move(fixes), poll_start_us, p.sent_us,
+                     merged);
+    p.stage = Stage::kDone;
+  }
+
+  // Fallback, once no reply is outstanding: a shard whose fan-out attempt hit
+  // a dead socket gets the rest of its request_retries through with_shard;
+  // one that still cannot be reached answers from held fixes.
+  for (ShardPoll& p : polls) {
+    if (p.stage == Stage::kDone) continue;
+    std::optional<std::vector<engine::Fix>> fixes;
+    if (p.stage == Stage::kRetry) {
+      try {
+        fixes = with_shard(
+            *p.shard,
+            [now, &poll_ctx](ServiceClient& c) {
+              return c.poll(now, poll_ctx);
+            },
+            /*attempts_spent=*/1);
+      } catch (const std::exception&) {
+        if (!refusal) refusal = std::current_exception();
+        continue;
+      }
+    }
+    if (fixes.has_value()) {
+      merge_shard_poll(*p.shard, std::move(*fixes), poll_start_us, p.sent_us,
+                       merged);
+    } else {
+      hold_shard_poll(*p.shard, now, poll_start_us, merged);
+    }
+  }
+  if (refusal) std::rethrow_exception(refusal);
   std::sort(merged.begin(), merged.end(),
             [](const engine::Fix& a, const engine::Fix& b) {
               return a.tag < b.tag;
             });
   maybe_checkpoint();
   return merged;
+}
+
+void Supervisor::merge_shard_poll(ManagedShard& shard,
+                                  std::vector<engine::Fix> fixes,
+                                  double poll_start_us, double sent_us,
+                                  std::vector<engine::Fix>& merged) {
+  const double shard_end_us = tracer_.now_us();
+  shard_poll_seconds_[shard.id]->observe((shard_end_us - sent_us) / 1e6);
+  const double oldest_stamp_us =
+      oldest_pending_us(shard.pending_batches, poll_start_us);
+  for (const engine::Fix& fix : fixes) {
+    latest_[fix.tag] = fix;
+    observe_ingest_to_fix((shard_end_us - oldest_stamp_us) / 1e6);
+  }
+  merged.insert(merged.end(), fixes.begin(), fixes.end());
+  if (tracer_.enabled()) {
+    for (const auto& [sequence, stamp_us] : shard.pending_batches) {
+      tracer_.complete(
+          "supervisor.batch_e2e", stamp_us, shard_end_us,
+          "{\"shard\":" + std::to_string(shard.id) +
+              ",\"sequence\":" + std::to_string(sequence) +
+              ",\"trace_id\":" + std::to_string(trace_id_for(sequence)) +
+              "}");
+    }
+  }
+  shard.pending_batches.clear();
+}
+
+void Supervisor::hold_shard_poll(ManagedShard& shard, sim::SimTime now,
+                                 double poll_start_us,
+                                 std::vector<engine::Fix>& merged) {
+  const double shard_end_us = tracer_.now_us();
+  const double oldest_stamp_us =
+      oldest_pending_us(shard.pending_batches, poll_start_us);
+  // Shard unreachable (breaker open / revival failed): journal the missed
+  // poll so revival replays it, and answer its tags from last-known fixes.
+  OpEntry entry;
+  entry.kind = OpEntry::Kind::kPoll;
+  entry.time = now;
+  if (journal_ != nullptr) {
+    entry.journal_seq = journal_->record_poll(shard.id, now);
+  }
+  push_oplog(shard, std::move(entry));
+  for (const auto& [tag, info] : tags_) {
+    if (owner_of(tag) != shard.id) continue;
+    const auto it = latest_.find(tag);
+    if (it == latest_.end()) continue;  // never fixed: nothing to hold
+    engine::Fix held = it->second;
+    held.age_s += now - held.time;
+    held.time = now;
+    held.valid = false;
+    held.quality = engine::FixQuality::kHold;
+    latest_[tag] = held;
+    merged.push_back(held);
+    held_fixes_->inc();
+    // Held fixes are polled fixes too: the SLO histogram must record the
+    // (still-growing) latency of batches stranded behind the dead shard.
+    observe_ingest_to_fix((shard_end_us - oldest_stamp_us) / 1e6);
+  }
 }
 
 std::optional<engine::Fix> Supervisor::latest_fix(sim::TagId tag) const {
@@ -770,6 +862,9 @@ void Supervisor::ensure_shard_metrics(std::uint32_t id) {
   clock_offset_gauges_[id] = &metrics_.gauge(
       "vire_fleet_shard_clock_offset_us", label,
       "Estimated shard trace-clock offset vs the supervisor (µs)");
+  shard_poll_seconds_[id] = &metrics_.histogram(
+      "vire_supervisor_shard_poll_seconds", obs::default_latency_buckets_s(),
+      label, "Per-shard poll latency, from kPoll send to reply read");
 }
 
 void Supervisor::spawn(ManagedShard& shard) {
@@ -1504,9 +1599,10 @@ void Supervisor::refresh_state_metrics() {
 }
 
 template <typename Fn>
-auto Supervisor::with_shard(ManagedShard& shard, Fn fn)
+auto Supervisor::with_shard(ManagedShard& shard, Fn fn, int attempts_spent)
     -> std::optional<decltype(fn(std::declval<ServiceClient&>()))> {
-  for (int attempt = 0; attempt <= config_.request_retries; ++attempt) {
+  for (int attempt = attempts_spent; attempt <= config_.request_retries;
+       ++attempt) {
     if (!try_revive(shard)) return std::nullopt;
     try {
       return fn(*shard.client);

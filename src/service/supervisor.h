@@ -216,10 +216,18 @@ class Supervisor : public Frontend {
   void tick();
 
   // Frontend. ingest() assigns each batch an internal sequence and journals
-  // it in the owning shards' op-logs until durably acked. poll() forwards to
-  // every shard (reviving dead ones inline when the breaker allows) and
-  // degrades a DOWN shard's tags to FixQuality::kHold answers.
+  // it in the owning shards' op-logs until durably acked.
   void ingest(const std::vector<sim::RssiReading>& readings) override;
+  /// Fans the poll out before reading any reply: every active shard is
+  /// revived if needed (and the breaker allows) and sent its kPoll, then the
+  /// replies are read and merged in shard-id order, so the shards' engine
+  /// updates overlap. A shard whose send or read hits a dead socket is
+  /// retried after the other replies are in, through the same revive-and-
+  /// retry path as every forwarded request; the fan-out attempt is the first
+  /// of its request_retries + 1. A shard that stays unreachable has the poll
+  /// journaled for replay and its tags answered as FixQuality::kHold. A kError
+  /// answer is rethrown (first one wins) only after every other reply has
+  /// been read, so no connection is left holding an unread reply.
   std::vector<engine::Fix> poll(sim::SimTime now) override;
   [[nodiscard]] std::optional<engine::Fix> latest_fix(
       sim::TagId tag) const override;
@@ -403,8 +411,23 @@ class Supervisor : public Frontend {
   [[nodiscard]] std::uint64_t trace_id_for(std::uint64_t sequence) const;
   void observe_ingest_to_fix(double latency_s);
 
+  /// Folds one shard's poll reply into `merged`: latest_, the
+  /// vire_supervisor_shard_poll_seconds and ingest-to-fix samples (both
+  /// ending now, when the reply was read), batch_e2e spans, and clearing the
+  /// shard's pending batches.
+  void merge_shard_poll(ManagedShard& shard, std::vector<engine::Fix> fixes,
+                        double poll_start_us, double sent_us,
+                        std::vector<engine::Fix>& merged);
+  /// Poll answer for an unreachable shard: journals the missed poll for
+  /// replay at revival and appends kHold fixes from last-known positions.
+  void hold_shard_poll(ManagedShard& shard, sim::SimTime now,
+                       double poll_start_us, std::vector<engine::Fix>& merged);
+
+  /// Runs `fn` against the shard, reviving it before each attempt, for at
+  /// most request_retries + 1 attempts; `attempts_spent` counts attempts the
+  /// caller already made. nullopt when the shard stays unreachable.
   template <typename Fn>
-  auto with_shard(ManagedShard& shard, Fn fn)
+  auto with_shard(ManagedShard& shard, Fn fn, int attempts_spent = 0)
       -> std::optional<decltype(fn(std::declval<ServiceClient&>()))>;
 
   env::Deployment deployment_;
@@ -455,6 +478,7 @@ class Supervisor : public Frontend {
   std::map<std::uint32_t, obs::Histogram*> rtt_seconds_;
   std::map<std::uint32_t, obs::Counter*> anomaly_dumps_total_;
   std::map<std::uint32_t, obs::Gauge*> clock_offset_gauges_;
+  std::map<std::uint32_t, obs::Histogram*> shard_poll_seconds_;
 };
 
 }  // namespace vire::service

@@ -269,6 +269,12 @@ TEST(FleetObservabilityTest, SkewedFleetMergesNestedSpansBitIdentically) {
         "vire_fleet_shard_clock_offset_us", "shard=\"" + shard + "\"");
     ASSERT_NE(offset, nullptr);
     EXPECT_GT(offset->value(), kSkewUs / 2.0) << "shard " << shard;
+    // One send -> reply-read sample per shard per poll.
+    const auto* shard_poll = supervisor.metrics().find_histogram(
+        "vire_supervisor_shard_poll_seconds", "shard=\"" + shard + "\"");
+    ASSERT_NE(shard_poll, nullptr);
+    EXPECT_EQ(shard_poll->count(), static_cast<std::uint64_t>(kPolls))
+        << "shard " << shard;
   }
 
   // One merged Chrome trace with per-process metadata.

@@ -23,8 +23,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +37,8 @@
 
 #include "engine/localization_engine.h"
 #include "env/environment.h"
+#include "persist/wal.h"
+#include "service/shard_host.h"
 #include "service/supervisor.h"
 #include "service/wire.h"
 #include "sim/simulator.h"
@@ -332,6 +337,137 @@ TEST(SupervisorChaosTest, BreakerDegradesToHeldFixesAndRecovers) {
       "vire_supervisor_breaker_open_total");
   ASSERT_NE(breaker, nullptr);
   EXPECT_GE(breaker->value(), 1u);
+
+  supervisor.stop();
+  fs::remove_all(root);
+}
+
+// The poll fan-out sends every shard its kPoll before reading any reply, so
+// a kError from one shard leaves the others' replies in flight. Polling
+// before set_reference_ids makes every shardd refuse; poll() must still read
+// each reply before it rethrows, or the next request on that connection
+// (set_reference_ids here) would read the stale refusal and fail. After the
+// refusal the fleet must carry on bit-identically, with no restart.
+TEST(SupervisorChaosTest, RefusedPollDrainsEveryReply) {
+  SKIP_ON_SINGLE_CORE();
+  const Capture& capture = shared_capture();
+  const fs::path root = fs::temp_directory_path() / "vire_supervisor_refusal";
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  Supervisor supervisor(env::Deployment::paper_testbed(), drill_config(root));
+  supervisor.start();
+  ASSERT_EQ(supervisor.shard_state(0), ShardState::kUp);
+  ASSERT_EQ(supervisor.shard_state(1), ShardState::kUp);
+
+  EXPECT_THROW((void)supervisor.poll(0.0), std::runtime_error);
+  EXPECT_EQ(supervisor.shard_state(0), ShardState::kUp);
+  EXPECT_EQ(supervisor.shard_state(1), ShardState::kUp);
+
+  ASSERT_NO_THROW(register_capture(supervisor, capture));
+  supervisor.ingest(capture.segments[0]);
+  for (int poll = 0; poll < 3; ++poll) {
+    supervisor.ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    std::vector<engine::Fix> fixes;
+    ASSERT_NO_THROW(fixes = supervisor.poll(capture.poll_times[poll]))
+        << "poll " << poll;
+    expect_poll_identical(fixes, capture.golden[poll], poll);
+  }
+  EXPECT_EQ(supervisor.restarts(), 0u);
+
+  supervisor.stop();
+  fs::remove_all(root);
+}
+
+char process_state(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  // Field 3, after the parenthesised command name.
+  const auto close = stat.rfind(')');
+  if (close == std::string::npos || close + 2 >= stat.size()) return '?';
+  return stat[close + 2];
+}
+
+bool wal_has_update_marker(const fs::path& wal_dir, sim::SimTime now) {
+  for (const persist::WalFrame& frame : persist::read_wal(wal_dir).frames) {
+    if (frame.type == persist::FrameType::kUpdate &&
+        bits(frame.time) == bits(now)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The fan-out overlaps the shards' engine updates. Shard 0 is SIGSTOPped
+// before a poll, so it cannot answer; shard 1 must still receive its kPoll
+// and journal this poll's update marker while shard 0 is stopped. A
+// one-shard-at-a-time loop blocks reading shard 0 first and never gets there.
+// The deadline only decides failure, never success; the request timeout is
+// well beyond it so the stopped shard is not declared dead meanwhile.
+TEST(SupervisorChaosTest, PollFanOutOverlapsShardUpdates) {
+  SKIP_ON_SINGLE_CORE();
+  const Capture& capture = shared_capture();
+  const fs::path root = fs::temp_directory_path() / "vire_supervisor_overlap";
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  SupervisorConfig config = drill_config(root);
+  config.request_timeout_s = 600.0;
+  Supervisor supervisor(env::Deployment::paper_testbed(), config);
+  supervisor.start();
+  register_capture(supervisor, capture);
+
+  constexpr int kStoppedPoll = 2;
+  supervisor.ingest(capture.segments[0]);
+  for (int poll = 0; poll < kStoppedPoll; ++poll) {
+    supervisor.ingest(capture.segments[static_cast<std::size_t>(poll) + 1]);
+    expect_poll_identical(supervisor.poll(capture.poll_times[poll]),
+                          capture.golden[poll], poll);
+  }
+  supervisor.ingest(capture.segments[kStoppedPoll + 1]);
+
+  const sim::SimTime now = capture.poll_times[kStoppedPoll];
+  const pid_t stopped = supervisor.shard_pid(0);
+  const fs::path wal0 = ShardHost::wal_dir(root / "shard-0", kProcessHostId);
+  const fs::path wal1 = ShardHost::wal_dir(root / "shard-1", kProcessHostId);
+  ASSERT_GT(stopped, 0);
+  ASSERT_EQ(::kill(stopped, SIGSTOP), 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (process_state(stopped) != 'T' &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool stopped_before_poll = process_state(stopped) == 'T';
+
+  std::vector<engine::Fix> fixes;
+  std::exception_ptr poll_error;
+  std::thread poller([&] {
+    try {
+      fixes = supervisor.poll(now);
+    } catch (...) {
+      poll_error = std::current_exception();
+    }
+  });
+  bool overlapped = false;
+  while (stopped_before_poll && std::chrono::steady_clock::now() < deadline) {
+    if (wal_has_update_marker(wal1, now)) {
+      overlapped = process_state(stopped) == 'T' &&
+                   !wal_has_update_marker(wal0, now);
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(::kill(stopped, SIGCONT), 0);
+  poller.join();
+
+  ASSERT_TRUE(stopped_before_poll) << "shard 0 never reached the stopped state";
+  EXPECT_TRUE(overlapped)
+      << "shard 1 did not start this poll's update while shard 0 was stopped";
+  ASSERT_FALSE(poll_error) << "poll threw";
+  expect_poll_identical(fixes, capture.golden[kStoppedPoll], kStoppedPoll);
+  EXPECT_EQ(supervisor.restarts(), 0u);
 
   supervisor.stop();
   fs::remove_all(root);
